@@ -100,14 +100,14 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| {
             let mut s = pingpong_sim(256);
             s.run_for(Dur::from_secs(30));
-            black_box(s.core().stats.events)
+            black_box(s.stats().events)
         })
     });
     c.bench_function("engine_timer_storm_512", |b| {
         b.iter(|| {
             let mut s = storm_sim(512);
             s.run_for(Dur::from_mins(5));
-            black_box(s.core().stats.events)
+            black_box(s.stats().events)
         })
     });
     c.bench_function("wheel_push_pop_mixed_100k", |b| {
@@ -140,7 +140,7 @@ fn bench_engine(c: &mut Criterion) {
 fn measure<A: Actor>(mut sim: Sim<A>, horizon: Dur) -> (SimStats, f64) {
     let t = Instant::now();
     sim.run_for(horizon);
-    (sim.core().stats.clone(), t.elapsed().as_secs_f64())
+    (sim.stats(), t.elapsed().as_secs_f64())
 }
 
 fn json_line(name: &str, stats: &SimStats, wall: f64) -> String {
@@ -155,8 +155,7 @@ fn json_line(name: &str, stats: &SimStats, wall: f64) -> String {
     )
 }
 
-/// One measured campaign run: `cfg` on `n` shards for `horizon` under an
-/// explicit placement/lookahead policy pair.
+/// One measured campaign run: `cfg` on `n` shards for `horizon`.
 struct SliceRun {
     stats: SimStats,
     state: simnet::StateBytes,
@@ -165,23 +164,15 @@ struct SliceRun {
     wall: f64,
 }
 
-fn run_campaign_slice(
-    cfg: netgen::ScenarioConfig,
-    n: usize,
-    horizon: Dur,
-    placement: netgen::PlacementMode,
-    lookahead: simnet::LookaheadMode,
-) -> SliceRun {
+fn run_campaign_slice(cfg: netgen::ScenarioConfig, n: usize, horizon: Dur) -> SliceRun {
     let scenario = netgen::build(cfg.with_shards(n));
     let mut campaign = tcsb_core::Campaign::new(
         scenario,
         tcsb_core::CampaignOptions {
             with_workload: true,
-            placement,
             ..Default::default()
         },
     );
-    campaign.sim.set_lookahead_mode(lookahead);
     let t = Instant::now();
     campaign.run_for(horizon);
     SliceRun {
@@ -191,54 +182,6 @@ fn run_campaign_slice(
         loads: campaign.sim.shard_loads(),
         digest: campaign.sim.trace_digest(),
     }
-}
-
-/// The load-balance venue: the crawl campaign (the `repro budget`
-/// configuration the placement weight model is calibrated against), run
-/// long enough that the bootstrap dial storm — which concentrates on the
-/// region-0/cloud shard regardless of placement — stops dominating the
-/// cumulative counters. Records the cumulative max/min dispatched ratio
-/// at 48 virtual hours plus the 24→48 h steady-state window ratio; the
-/// committed full-budget references in `ci/` extend the same trajectory
-/// to 504 h (measured 1.49 balanced vs. 10.53 region-major).
-fn placement_balance_row() -> String {
-    let scenario = netgen::build(netgen::ScenarioConfig::stress(7).with_shards(4));
-    let mut campaign = tcsb_core::Campaign::new(
-        scenario,
-        tcsb_core::CampaignOptions {
-            with_workload: false,
-            placement: netgen::PlacementMode::Balanced,
-            ..Default::default()
-        },
-    );
-    campaign
-        .sim
-        .set_lookahead_mode(simnet::LookaheadMode::PerPair);
-    let t = Instant::now();
-    campaign.run_for(Dur::from_hours(24));
-    let mid: Vec<u64> = campaign
-        .sim
-        .shard_loads()
-        .iter()
-        .map(|l| l.dispatched)
-        .collect();
-    campaign.run_for(Dur::from_hours(24));
-    let loads = campaign.sim.shard_loads();
-    let cum: Vec<u64> = loads.iter().map(|l| l.dispatched).collect();
-    let win: Vec<u64> = cum.iter().zip(&mid).map(|(c, m)| c - m).collect();
-    let ratio =
-        |v: &[u64]| *v.iter().max().unwrap() as f64 / (*v.iter().min().unwrap()).max(1) as f64;
-    format!(
-        "  \"placement_balance_stress_crawl_48h_shards4\": {{ \"digest\": \"{:#018x}\", \
-\"epochs\": {}, \"dispatch_ratio_cum_48h\": {:.2}, \"dispatch_ratio_steady_24h_window\": {:.2}, \
-\"dispatched\": {:?}, \"wall_secs\": {:.3} }}",
-        campaign.sim.trace_digest(),
-        loads[0].sync.epochs,
-        ratio(&cum),
-        ratio(&win),
-        cum,
-        t.elapsed().as_secs_f64(),
-    )
 }
 
 /// Conservative-sync totals for one run: epoch count (max across shards —
@@ -263,14 +206,13 @@ fn sync_summary(loads: &[simnet::ShardLoad]) -> (u64, u64, u64, u64, f64) {
 }
 
 /// One campaign workload line. The digest pins the determinism contract
-/// (identical history on every shard count, placement, and lookahead
-/// policy); wall-clock is the scaling metric. The `state_bytes` fields
-/// are the struct-of-arrays accounting: replicated columns cost a fixed
-/// 8 B/node on every shard (the O(nodes) claim, measured), owner-only
-/// columns exist exactly once across the whole engine. The sync fields
-/// (`epochs`, `barrier_waits`, `mailbox_*`, `dispatch_ratio`) are
-/// deterministic functions of `(scenario, seed, shards, placement,
-/// lookahead)` — the perf regression oracle that works on any host.
+/// (identical history on every shard count); wall-clock is the scaling
+/// metric. The `state_bytes` fields are the struct-of-arrays accounting:
+/// replicated columns cost a fixed 8 B/node on every shard (the O(nodes)
+/// claim, measured), owner-only columns exist exactly once across the
+/// whole engine. The sync fields (`epochs`, `barrier_waits`, `mailbox_*`,
+/// `dispatch_ratio`) are deterministic functions of `(scenario, seed,
+/// shards)` — the perf regression oracle that works on any host.
 /// `sync_overhead_only` flags rows where the host had fewer cores than
 /// shards, so the wall-clock measures barrier/mailbox overhead rather
 /// than parallel speedup — readers (and regression tooling) should not
@@ -330,73 +272,31 @@ fn write_engine_json() {
     let t = Instant::now();
     campaign.run_for(Dur::from_hours(12));
     let camp_wall = t.elapsed().as_secs_f64();
-    let camp_stats = campaign.sim.core().stats.clone();
+    let camp_stats = campaign.sim.stats();
 
-    // Shard scaling: 1/2/4 shards over the identical stress slice, under
-    // the shipped policy (balanced placement, per-pair lookahead). On a
+    // Shard scaling: 1/2/4 shards over the identical stress slice. On a
     // multi-core host the wall-clock drops with the shard count; the
     // digest row proves the history did not change. `host_cpus` records
     // how many cores were actually available to scale onto.
-    use netgen::PlacementMode::{Balanced, RegionMajor};
-    use simnet::LookaheadMode::{GlobalMin, PerPair};
     let stress = netgen::ScenarioConfig::stress(7);
     let hours6 = Dur::from_hours(6);
-    let r1 = run_campaign_slice(stress.clone(), 1, hours6, Balanced, PerPair);
+    let r1 = run_campaign_slice(stress.clone(), 1, hours6);
     let base_wall = r1.wall;
     let base_digest = r1.digest;
-    let r2 = run_campaign_slice(stress.clone(), 2, hours6, Balanced, PerPair);
-    let r4 = run_campaign_slice(stress.clone(), 4, hours6, Balanced, PerPair);
+    let r2 = run_campaign_slice(stress.clone(), 2, hours6);
+    let r4 = run_campaign_slice(stress.clone(), 4, hours6);
+    for (n, r) in [(2, &r2), (4, &r4)] {
+        assert_eq!(
+            r.digest, base_digest,
+            "{n}-shard stress slice perturbed the trace digest"
+        );
+    }
     let s1 = campaign_row("campaign_stress_6h_shards1", 1, &r1, 0.0);
     let s2 = campaign_row("campaign_stress_6h_shards2", 2, &r2, base_wall);
     let s4 = campaign_row("campaign_stress_6h_shards4", 4, &r4, base_wall);
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-
-    // Sharding policy A/B at shards=4: the same slice under the pre-PR
-    // executor semantics (global-min lookahead) and the pre-PR placement
-    // (region-major), in all combinations. Every row must reproduce the
-    // same digest — only the deterministic sync counters move. The
-    // `sharding_ab` summary row distills the comparison: epoch reduction
-    // of the shipped policy vs. the global-min baseline at the same
-    // placement, and the dispatch-balance win vs. region-major.
-    let ab = [
-        (
-            "campaign_stress_6h_shards4_regionmajor",
-            RegionMajor,
-            PerPair,
-        ),
-        ("campaign_stress_6h_shards4_globalmin", Balanced, GlobalMin),
-        (
-            "campaign_stress_6h_shards4_regionmajor_globalmin",
-            RegionMajor,
-            GlobalMin,
-        ),
-    ];
-    let mut ab_rows = Vec::new();
-    let mut ab_sync = Vec::new();
-    for (key, place, look) in ab {
-        let r = run_campaign_slice(stress.clone(), 4, hours6, place, look);
-        assert_eq!(
-            r.digest, base_digest,
-            "{key}: placement/lookahead policy perturbed the trace digest"
-        );
-        ab_rows.push(campaign_row(key, 4, &r, base_wall));
-        ab_sync.push(sync_summary(&r.loads));
-    }
-    let (ship_epochs, _, _, _, ship_ratio) = sync_summary(&r4.loads);
-    let (_, _, _, _, rm_ratio) = ab_sync[0];
-    let (base_epochs, ..) = ab_sync[1];
-    let (rm_base_epochs, ..) = ab_sync[2];
-    let ab_summary = format!(
-        "  \"sharding_ab_stress_6h_shards4\": {{ \"epochs_shipped\": {ship_epochs}, \
-\"epochs_globalmin_baseline\": {base_epochs}, \
-\"epochs_regionmajor_globalmin\": {rm_base_epochs}, \
-\"epoch_reduction_vs_baseline\": {:.2}, \"dispatch_ratio_shipped_6h_cum\": {ship_ratio:.2}, \
-\"dispatch_ratio_regionmajor\": {rm_ratio:.2}, \"digests_identical\": true }}",
-        base_epochs as f64 / ship_epochs.max(1) as f64,
-    );
-    let balance_row = placement_balance_row();
 
     // Telemetry overhead: the identical 1-shard stress slice with the
     // metrics registry live, measured as a *paired* A/B. Each round runs
@@ -416,7 +316,7 @@ fn write_engine_json() {
     let run_telem = || {
         telemetry::reset();
         telemetry::set_enabled(true);
-        let rt = run_campaign_slice(stress.clone(), 1, hours6, Balanced, PerPair);
+        let rt = run_campaign_slice(stress.clone(), 1, hours6);
         telemetry::set_enabled(false);
         telemetry::reset();
         assert_eq!(
@@ -428,14 +328,11 @@ fn write_engine_json() {
     let mut round_ratios = Vec::new();
     for round in 0..4 {
         let (b, t) = if round % 2 == 0 {
-            let b = run_campaign_slice(stress.clone(), 1, hours6, Balanced, PerPair).wall;
+            let b = run_campaign_slice(stress.clone(), 1, hours6).wall;
             (b, run_telem())
         } else {
             let t = run_telem();
-            (
-                run_campaign_slice(stress.clone(), 1, hours6, Balanced, PerPair).wall,
-                t,
-            )
+            (run_campaign_slice(stress.clone(), 1, hours6).wall, t)
         };
         base_walls.push(b);
         telem_walls.push(t);
@@ -528,31 +425,20 @@ fn write_engine_json() {
             .and_then(|v| v.parse().ok())
             .filter(|&v| v >= 1)
             .unwrap_or(1usize);
-        let r = run_campaign_slice(
-            netgen::ScenarioConfig::internet(7),
-            n,
-            Dur::from_hours(1),
-            Balanced,
-            PerPair,
-        );
+        let r = run_campaign_slice(netgen::ScenarioConfig::internet(7), n, Dur::from_hours(1));
         format!(",\n{}", campaign_row("campaign_internet_1h", n, &r, 0.0))
     } else {
         String::new()
     };
 
     let body = format!(
-        "{{\n  \"schema\": \"tcsb-bench-engine/6\",\n  \"host_cpus\": {host_cpus},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{}{}\n}}\n",
+        "{{\n  \"schema\": \"tcsb-bench-engine/7\",\n  \"host_cpus\": {host_cpus},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{}{}\n}}\n",
         json_line("pingpong_512pairs_60s", &pp_stats, pp_wall),
         json_line("timer_storm_1024_10min", &st_stats, st_wall),
         json_line("campaign_tiny_12h", &camp_stats, camp_wall),
         s1,
         s2,
         s4,
-        ab_rows[0],
-        ab_rows[1],
-        ab_rows[2],
-        ab_summary,
-        balance_row,
         telemetry_row,
         replay_row,
         internet_row,

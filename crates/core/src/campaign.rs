@@ -40,12 +40,6 @@ pub struct CampaignOptions {
     pub live_workload: Option<netgen::WorkloadSpec>,
     /// Override the engine seed (defaults to scenario seed).
     pub engine_seed: Option<u64>,
-    /// Node→shard placement policy. `Auto` honors `TCSB_BALANCE`
-    /// (default balanced); tests pin `Balanced`/`RegionMajor` explicitly
-    /// so parallel suites never race on the environment. Placement never
-    /// affects results (the engine is placement-invariant by contract),
-    /// only which thread owns which node.
-    pub placement: netgen::PlacementMode,
 }
 
 impl Default for CampaignOptions {
@@ -57,24 +51,9 @@ impl Default for CampaignOptions {
             with_requests: true,
             live_workload: None,
             engine_seed: None,
-            placement: netgen::PlacementMode::Auto,
         }
     }
 }
-
-/// Predicted event weights for the campaign's singleton actors, as
-/// fractions of the total scenario-node weight (per mille). The monitor
-/// holds connections to every online node on a 2-minute connection-manager
-/// tick and the crawler periodically contacts the full population, so both
-/// scale with the population itself; the web-user and frontend weights
-/// only materialize when the request workload is scheduled. Calibrated
-/// against measured per-node dispatched counts on the stress preset
-/// (crawler ≈ 15‰ of all events, monitor ≈ 2‰, searcher ≈ 0.4‰).
-const MONITOR_WEIGHT_PERMILLE: u64 = 2;
-const CRAWLER_WEIGHT_PERMILLE: u64 = 15;
-const WEBUSER_WEIGHT_PERMILLE: u64 = 5;
-const SEARCHER_WEIGHT_PERMILLE: u64 = 1;
-const FRONTENDS_WEIGHT_PERMILLE: u64 = 2;
 
 /// Outcome of one provider-record resolution (searcher-side view).
 #[derive(Clone, Debug)]
@@ -110,9 +89,8 @@ pub struct Campaign {
     pub webuser: NodeId,
     /// Provider-record searcher client.
     pub searcher: NodeId,
-    /// The node→shard assignment this campaign was built with (predicted
-    /// weights are the balance objective; `repro budget` surfaces them
-    /// next to the measured per-shard counters).
+    /// The node→shard assignment this campaign was built with, in add
+    /// order (scenario nodes, frontends, tools).
     pub placement: netgen::Placement,
     crawl_seq: u64,
     bootstrap: Vec<(PeerId, NodeId)>,
@@ -129,11 +107,7 @@ impl Campaign {
         let latency = LatencyModel::continents(4, Dur::from_millis(12), Dur::from_millis(90), 0.3);
         let seed = opts.engine_seed.unwrap_or(scenario.cfg.seed ^ 0x51u64);
         // Shard count: explicit `ScenarioConfig::shards`, else TCSB_SHARDS,
-        // else 1. Placement: the balanced partitioner by default (LPT
-        // whole-region packing plus minimum stratified splits of the
-        // hottest regions), or plain `netgen::shard_for` region-major under
-        // `TCSB_BALANCE=0`/`PlacementMode::RegionMajor`. Output is
-        // byte-identical across shard counts *and* placements; only
+        // else 1. Output is byte-identical across shard counts; only
         // wall-clock and per-shard load change.
         let shards = scenario.cfg.effective_shards();
         let mut sim: Sim<EcoActor> = Sim::new_sharded(cfg, latency, seed, shards);
@@ -142,55 +116,19 @@ impl Campaign {
         // 8 bytes × nodes bound that `state_bytes` reports.
         sim.reserve_nodes(scenario.nodes.len() + scenario.gateways.len() + 4);
 
-        // Predicted event weights, in campaign add order: scenario nodes,
-        // frontends, then the four singleton tools (all region 0). Item
-        // indices mirror the add order below.
+        // Whole regions per shard, in campaign add order: scenario nodes,
+        // frontends, then the four singleton tools (frontends and tools
+        // all sit in region 0).
         let frontends_base = scenario.nodes.len();
         let tools_base = frontends_base + scenario.gateways.len();
-        let mut items: Vec<netgen::PlacementItem> = scenario
-            .nodes
-            .iter()
-            .map(|spec| netgen::PlacementItem {
-                region: spec.region,
-                weight: netgen::node_weight(spec),
-            })
-            .collect();
-        let scenario_total: u64 = items.iter().map(|it| it.weight).sum();
-        let permille = |p: u64| (scenario_total * p / 1000).max(1);
-        // Retrieval traffic materializes through the frontends and the
-        // web-user actor whether it comes from the static trace or the
-        // live replay stream — the weight model must match the actors
-        // actually spawned, or the balanced partitioner packs a busy
-        // replay web-user as if it were idle.
-        let requests_flow =
-            opts.with_workload && (opts.with_requests || opts.live_workload.is_some());
-        let frontend_weight = if requests_flow {
-            permille(FRONTENDS_WEIGHT_PERMILLE) / scenario.gateways.len().max(1) as u64
-        } else {
-            1
-        };
-        items.extend(scenario.gateways.iter().map(|_| netgen::PlacementItem {
-            region: 0,
-            weight: frontend_weight,
-        }));
-        let webuser_weight = if requests_flow {
-            permille(WEBUSER_WEIGHT_PERMILLE)
-        } else {
-            1
-        };
-        for weight in [
-            permille(MONITOR_WEIGHT_PERMILLE),
-            permille(CRAWLER_WEIGHT_PERMILLE),
-            webuser_weight,
-            permille(SEARCHER_WEIGHT_PERMILLE),
-        ] {
-            items.push(netgen::PlacementItem { region: 0, weight });
-        }
-        let placement = if opts.placement.is_balanced() && shards > 1 {
-            netgen::placement::balanced(&items, shards)
-        } else {
-            netgen::placement::region_major(&items, shards)
-        };
+        let placement = netgen::Placement::new(
+            scenario
+                .nodes
+                .iter()
+                .map(|spec| spec.region)
+                .chain(std::iter::repeat_n(0, scenario.gateways.len() + 4)),
+            shards,
+        );
 
         // Bootstrap identities are known up front (first N nodes).
         let bootstrap: Vec<(PeerId, NodeId)> = (0..scenario.bootstrap_count)
@@ -486,7 +424,6 @@ impl Campaign {
     /// the predicate — routing-fill and the recovery observatory's
     /// ground-truth population both build on it.
     pub fn online_server_indices(&self) -> Vec<usize> {
-        let core = self.sim.core();
         self.scenario
             .nodes
             .iter()
@@ -494,7 +431,7 @@ impl Campaign {
             .filter(|(i, spec)| {
                 !spec.nat
                     && spec.platform != Some(Platform::Hydra)
-                    && core.is_online(self.node_ids[*i])
+                    && self.sim.is_online(self.node_ids[*i])
             })
             .map(|(i, _)| i)
             .collect()
@@ -533,7 +470,7 @@ impl Campaign {
     pub fn crawl(&mut self, max_wait: Dur) -> usize {
         self.crawl_seq += 1;
         let seeds = self.bootstrap_pairs();
-        let started = self.sim.core().now();
+        let started = self.sim.now();
         self.sim.schedule_command(
             started,
             self.crawler,
@@ -546,14 +483,14 @@ impl Campaign {
         loop {
             self.sim.run_for(Dur::from_secs(10));
             let done = !self.sim.actor(self.crawler).crawler().is_active();
-            if done || self.sim.core().now() >= deadline {
+            if done || self.sim.now() >= deadline {
                 break;
             }
         }
         let snap = self.sim.actor(self.crawler).crawler().snapshots.len() - 1;
         telemetry::flight::span(
             started.0,
-            self.sim.core().now().0.saturating_sub(started.0),
+            self.sim.now().0.saturating_sub(started.0),
             "crawl",
             format!("crawl-{}", self.crawl_seq),
             self.snapshots()[snap].peers.len() as u64,
@@ -617,7 +554,7 @@ impl Campaign {
         exhaustive: bool,
         spacing: Dur,
     ) -> Vec<ResolvedProviders> {
-        let t0 = self.sim.core().now();
+        let t0 = self.sim.now();
         telemetry::flight::span(
             t0.0,
             0,
@@ -667,18 +604,18 @@ impl Campaign {
     /// rules are deterministic, so this oracle gives exactly the answer a
     /// real dial probe would.
     pub fn record_reachable(&self, rec: &ProviderRecord) -> bool {
-        let core = self.sim.core();
-        if rec.endpoint.idx() >= core.node_count() {
+        let sim = &self.sim;
+        if rec.endpoint.idx() >= sim.node_count() {
             return false;
         }
-        if !core.is_online(rec.endpoint) {
+        if !sim.is_online(rec.endpoint) {
             return false;
         }
-        if core.is_dialable(rec.endpoint) {
+        if sim.is_dialable(rec.endpoint) {
             return true;
         }
         rec.relay_endpoint
-            .map(|r| r.idx() < core.node_count() && core.is_online(r))
+            .map(|r| r.idx() < sim.node_count() && sim.is_online(r))
             .unwrap_or(false)
     }
 
@@ -693,6 +630,6 @@ impl Campaign {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.sim.core().now()
+        self.sim.now()
     }
 }

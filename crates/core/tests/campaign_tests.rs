@@ -27,7 +27,7 @@ fn crawl_discovers_most_online_servers() {
     let truth: usize = (0..c.node_ids.len())
         .filter(|&i| {
             let id = c.node_ids[i];
-            c.sim.core().is_online(id) && c.sim.core().is_dialable(id)
+            c.sim.is_online(id) && c.sim.is_dialable(id)
         })
         .count();
     let found = snap.peer_count();

@@ -19,7 +19,7 @@ fn main() {
     let mut online = std::collections::HashMap::new();
     for (i, n) in c.scenario.nodes.iter().enumerate() {
         let id = c.node_ids[i];
-        if c.sim.core().is_online(id) && c.sim.core().is_dialable(id) {
+        if c.sim.is_online(id) && c.sim.is_dialable(id) {
             *online.entry(format!("{:?}", n.segment)).or_insert(0) += 1;
         }
     }

@@ -38,7 +38,7 @@ fn main() {
     let mut sizes = vec![];
     for &id in c.node_ids.iter().take(400) {
         if let EcoActor::Node(n) = c.sim.actor(id) {
-            if c.sim.core().is_online(id) {
+            if c.sim.is_online(id) {
                 sizes.push(n.dht().table().len());
             }
         }

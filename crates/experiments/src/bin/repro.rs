@@ -279,24 +279,11 @@ shared_bytes={} epochs={} barrier_waits={} mailbox_out_events={} mailbox_out_byt
                     l.sync.mailbox_bytes_out
                 );
             }
-            // Placement and lookahead: which partitioner owned the nodes,
-            // its predicted per-shard weights (the balance objective the
-            // dispatched counters above are measured against), and the
-            // effective shard×shard conservative lookahead matrix (ns;
-            // "-" where no influence path exists). All deterministic.
-            let p = &data.placement;
-            let predicted: Vec<String> = p.predicted.iter().map(|w| w.to_string()).collect();
-            println!(
-                "placement mode={} splits={} predicted_ratio_x100={} predicted=[{}]",
-                if p.balanced {
-                    "balanced"
-                } else {
-                    "region-major"
-                },
-                p.splits,
-                p.predicted_ratio_x100(),
-                predicted.join(",")
-            );
+            // Placement and lookahead: the node→shard rule (whole regions;
+            // the per-shard lines above show what each shard owns) and the
+            // effective shard×shard conservative lookahead matrix (ns; "-"
+            // where no influence path exists). All deterministic.
+            println!("placement region%{}", data.shards);
             let n = if data.lookahead.is_empty() {
                 0
             } else {

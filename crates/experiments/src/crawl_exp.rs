@@ -30,8 +30,7 @@ pub struct CrawlData {
     pub wall_secs: f64,
     /// Engine shards the campaign ran on.
     pub shards: usize,
-    /// Node→shard placement the campaign used (mode, splits, predicted
-    /// per-shard weights — the balance objective).
+    /// Node→shard placement the campaign used.
     pub placement: netgen::Placement,
     /// Effective shard×shard conservative lookahead matrix (metric
     /// closure, row-major; `u64::MAX/4` sentinel on impossible pairs).
@@ -84,7 +83,7 @@ pub fn collect(cfg: ScenarioConfig, n_crawls: usize) -> CrawlData {
         snaps,
         dbs,
         n_cloud_planted,
-        engine: campaign.sim.core().stats.clone(),
+        engine: campaign.sim.stats(),
         loads: campaign.sim.shard_loads(),
         digest: campaign.sim.trace_digest(),
         wall_secs: started.elapsed().as_secs_f64(),

@@ -223,7 +223,7 @@ barrier-waits {} · mailbox-out {} ev / {} B",
         let max_d = loads.iter().map(|l| l.dispatched).max().unwrap_or(0);
         let min_d = loads.iter().map(|l| l.dispatched).min().unwrap_or(0).max(1);
         r.note(format!(
-            "per-shard budget (balanced placement; dispatched max/min ratio \
+            "per-shard budget (dispatched max/min ratio \
 {}.{:02}): {}",
             max_d / min_d,
             (max_d * 100 / min_d) % 100,

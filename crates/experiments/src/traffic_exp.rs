@@ -98,7 +98,7 @@ pub fn run_workload(cfg: ScenarioConfig) -> WorkloadData {
             }
         }
     }
-    let engine = campaign.sim.core().stats.clone();
+    let engine = campaign.sim.stats();
     let loads = campaign.sim.shard_loads();
     WorkloadData {
         campaign,

@@ -15,7 +15,7 @@ pub mod workload;
 
 pub use build::build;
 pub use paper::{PaperTargets, PAPER};
-pub use placement::{node_weight, Placement, PlacementItem, PlacementMode};
+pub use placement::Placement;
 pub use plan::{
     build_databases, provider_plan, IpAllocator, ProviderPlan, CLOUDFLARE, CLOUD_PROVIDERS,
     DATACAMP, RESIDENTIAL_BLOCKS,

@@ -453,8 +453,8 @@ impl SyncCounters {
 
 /// One shard's load gauge: how many nodes it owns, how many events its
 /// dispatch loop executed, and its measured state split — the
-/// observability hook for the region-major assignment's load imbalance
-/// (monitor/crawler traffic parks on shard 0).
+/// observability hook for the placement's load imbalance (monitor/crawler
+/// traffic parks on shard 0).
 #[derive(Clone, Copy, Debug)]
 pub struct ShardLoad {
     /// Shard index.
@@ -477,17 +477,13 @@ fn ev_key(origin: u32, oseq: u32) -> u64 {
     ((origin as u64) << 32) | oseq as u64
 }
 
-/// Deterministic *region-major* node→shard assignment: regions map whole
-/// onto shards (`region % shards`), so two nodes sharing a region always
-/// share a shard and every cross-shard latency sits at the inter-region
-/// floor of the latency matrix. This is the fallback placement
-/// (`TCSB_BALANCE=0`) and the default for [`Sim::add_node`]; campaigns
-/// normally place nodes through `netgen::placement::balanced`, which
-/// equalizes predicted per-shard load by splitting hot regions across
-/// adjacent shards — the engine's per-pair lookahead matrix keeps the
-/// non-split pairs at their full floors, and results are byte-identical
-/// under any assignment. The single definition of the region-major rule:
-/// `netgen` re-exports it and [`Sim::add_node`] applies it.
+/// The node→shard placement: regions map whole onto shards
+/// (`region % shards`), so two nodes sharing a region always share a shard
+/// and every cross-shard latency sits at the inter-region floor of the
+/// latency matrix — the widest channel lookaheads the per-pair matrix can
+/// give. Results are byte-identical under any assignment; placement only
+/// decides which thread owns a node. The single definition of the rule:
+/// [`Sim::add_node`] applies it and `netgen` re-exports it.
 pub fn shard_for(region: u16, shards: usize) -> u16 {
     if shards <= 1 {
         0
@@ -538,7 +534,7 @@ pub struct SimCore<M, C> {
     trace: u64,
     /// This shard's row of the conservative lookahead matrix
     /// (`lookahead_to[dst]` = channel floor toward shard `dst`), set by the
-    /// executor for the duration of a multi-shard run and debug-asserted on
+    /// executor for the duration of a multi-shard run and asserted on
     /// cross-shard pushes. Empty on the sequential path.
     pub(crate) lookahead_to: Vec<Dur>,
     /// Column of the lookahead *closure* pointing back at this shard
@@ -724,7 +720,7 @@ impl<M, C> SimCore<M, C> {
         if dst == self.shard {
             self.enqueue_local(at, key, ev);
         } else {
-            debug_assert!(
+            assert!(
                 self.lookahead_to.is_empty() || at >= self.now + self.lookahead_to[dst as usize],
                 "cross-shard event violates the channel lookahead bound \
                  (at {at:?}, now {:?}, lookahead[->{dst}] {:?})",
@@ -1139,7 +1135,7 @@ impl<'a, M: Clone + std::fmt::Debug, C: std::fmt::Debug> Ctx<'a, M, C> {
     /// `delay` must be at least the conservative lookahead to that shard —
     /// same contract as every other cross-shard push; bulk drivers use
     /// tick-scale delays (seconds), far above the lookahead floor
-    /// (milliseconds), and `route` debug-asserts the invariant.
+    /// (milliseconds), and `route` asserts the invariant.
     pub fn schedule_batch(&mut self, target: NodeId, delay: Dur, cmds: Vec<C>) {
         if cmds.is_empty() {
             return;
@@ -1663,8 +1659,6 @@ pub struct Sim<A: Actor> {
     seed: u64,
     /// Cached conservative lookahead matrix; invalidated by `add_node`.
     lookahead_cache: Option<LookaheadInfo>,
-    /// Horizon derivation mode (per-pair matrix vs collapsed baseline).
-    lookahead_mode: LookaheadMode,
 }
 
 /// Cached conservative lookahead bounds, derived from the latency model and
@@ -1699,32 +1693,6 @@ pub(crate) struct LookaheadInfo {
 /// enough that `t + NO_LINK` cannot overflow under `saturating_add`.
 pub(crate) const NO_LINK: Dur = Dur(u64::MAX / 4);
 
-/// How the sharded executor derives epoch horizons from the channel floors.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LookaheadMode {
-    /// Per-shard-pair matrix (metric closure of the directed channel
-    /// floors): pairs that only talk over wide-area links take wide epoch
-    /// windows; a split region throttles only the pair it spans.
-    #[default]
-    PerPair,
-    /// Collapse every pair to the single global minimum floor — the
-    /// pre-matrix executor's horizon (`T_min + min L` for every shard).
-    /// Kept as a deterministic A/B baseline for the bench and regression
-    /// tests; selectable with `TCSB_LOOKAHEAD=global`.
-    GlobalMin,
-}
-
-impl LookaheadMode {
-    /// Resolve the startup default: `TCSB_LOOKAHEAD=global` selects the
-    /// collapsed baseline, anything else the per-pair matrix.
-    pub fn from_env() -> LookaheadMode {
-        match std::env::var("TCSB_LOOKAHEAD").as_deref() {
-            Ok("global") => LookaheadMode::GlobalMin,
-            _ => LookaheadMode::PerPair,
-        }
-    }
-}
-
 /// Engine forking: cloning a quiesced `Sim` (between `run_*` calls —
 /// worker threads are scoped per run, outboxes are drained at epoch
 /// barriers) snapshots the entire deterministic state: queues, per-node
@@ -1748,85 +1716,7 @@ where
             harness_seq: self.harness_seq,
             seed: self.seed,
             lookahead_cache: self.lookahead_cache.clone(),
-            lookahead_mode: self.lookahead_mode,
         }
-    }
-}
-
-/// Read-only merged view over every shard, for harness-side oracles. All
-/// methods assume the engine is quiesced (between `run_*` calls).
-pub struct CoreView<'a, A: Actor> {
-    sim: &'a Sim<A>,
-    /// Aggregated counters across shards (kind counts and totals are
-    /// shard-invariant sums; `peak_queue_len` is the max across shards).
-    pub stats: SimStats,
-}
-
-impl<'a, A: Actor> CoreView<'a, A> {
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
-    }
-
-    /// Number of registered nodes (online or not).
-    pub fn node_count(&self) -> usize {
-        self.sim.shards[0].core.node_count()
-    }
-
-    /// Merged run digest (per-shard digests folded in shard order).
-    pub fn trace_digest(&self) -> u64 {
-        self.sim.trace_digest()
-    }
-
-    /// Whether a node is currently online.
-    pub fn is_online(&self, node: NodeId) -> bool {
-        self.sim.owner_core(node).is_online(node)
-    }
-
-    /// Whether a node accepts direct inbound dials.
-    pub fn is_dialable(&self, node: NodeId) -> bool {
-        self.sim.owner_core(node).is_dialable(node)
-    }
-
-    /// Whether a node has been retired by a [`Fault::Retire`].
-    pub fn is_retired(&self, node: NodeId) -> bool {
-        self.sim.owner_core(node).is_retired(node)
-    }
-
-    /// A node's partition class.
-    pub fn net_class(&self, node: NodeId) -> u16 {
-        self.sim.owner_core(node).net_class(node)
-    }
-
-    /// Whether any partition is currently active.
-    pub fn partition_active(&self) -> bool {
-        self.sim.shards[0].core.partition_active()
-    }
-
-    /// A node's current socket address.
-    pub fn addr(&self, node: NodeId) -> SocketAddrV4 {
-        self.sim.owner_core(node).addr(node)
-    }
-
-    /// A node's region.
-    pub fn region(&self, node: NodeId) -> RegionId {
-        self.sim.owner_core(node).region(node)
-    }
-
-    /// Whether `a` holds its half of a connection to `b` (symmetric at
-    /// quiesce points).
-    pub fn connected(&self, a: NodeId, b: NodeId) -> bool {
-        self.sim.owner_core(a).connected(a, b)
-    }
-
-    /// A node's open connections in ascending peer order.
-    pub fn connections(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.sim.owner_core(node).connections(node)
-    }
-
-    /// Number of open connections.
-    pub fn connection_count(&self, node: NodeId) -> usize {
-        self.sim.owner_core(node).connection_count(node)
     }
 }
 
@@ -1837,8 +1727,8 @@ impl<A: Actor> Sim<A> {
         Sim::new_sharded(cfg, latency, seed, 1)
     }
 
-    /// Create an engine partitioned into `n_shards` shards. Node→shard
-    /// assignment defaults to `region % n_shards` ([`Sim::add_node`]);
+    /// Create an engine partitioned into `n_shards` shards. Nodes go to
+    /// the shard [`shard_for`] assigns to their region ([`Sim::add_node`]);
     /// override per node with [`Sim::add_node_in`]. Results are identical
     /// for every shard count (see the module docs for the contract).
     pub fn new_sharded(
@@ -1880,7 +1770,6 @@ impl<A: Actor> Sim<A> {
             harness_seq: 0,
             seed,
             lookahead_cache: None,
-            lookahead_mode: LookaheadMode::from_env(),
         }
     }
 
@@ -1901,8 +1790,7 @@ impl<A: Actor> Sim<A> {
         k
     }
 
-    /// Register a node in the shard chosen by the default assignment
-    /// (`region % n_shards`, matching `netgen`'s deterministic placement).
+    /// Register a node in the shard [`shard_for`] assigns to its region.
     /// If `setup.online`, an up-event is queued at the current time so
     /// `on_start` runs through the normal event path.
     pub fn add_node(&mut self, actor: A, setup: NodeSetup) -> NodeId {
@@ -2010,15 +1898,6 @@ impl<A: Actor> Sim<A> {
         agg
     }
 
-    /// Merged engine view (harness-side oracle: addresses, liveness,
-    /// connections, aggregated stats). Valid between `run_*` calls.
-    pub fn core(&self) -> CoreView<'_, A> {
-        CoreView {
-            sim: self,
-            stats: self.stats(),
-        }
-    }
-
     /// Aggregated counters across every shard.
     pub fn stats(&self) -> SimStats {
         let mut agg = SimStats::default();
@@ -2040,6 +1919,47 @@ impl<A: Actor> Sim<A> {
     /// Current virtual time (shards agree at quiesce points).
     pub fn now(&self) -> SimTime {
         self.shards[0].core.now
+    }
+
+    /// Number of registered nodes (online or not).
+    pub fn node_count(&self) -> usize {
+        self.shards[0].core.node_count()
+    }
+
+    /// Whether a node is currently online.
+    pub fn is_online(&self, node: NodeId) -> bool {
+        self.owner_core(node).is_online(node)
+    }
+
+    /// Whether a node accepts direct inbound dials.
+    pub fn is_dialable(&self, node: NodeId) -> bool {
+        self.owner_core(node).is_dialable(node)
+    }
+
+    /// Whether a node has been retired by a [`Fault::Retire`].
+    pub fn is_retired(&self, node: NodeId) -> bool {
+        self.owner_core(node).is_retired(node)
+    }
+
+    /// Whether any partition is currently active.
+    pub fn partition_active(&self) -> bool {
+        self.shards[0].core.partition_active()
+    }
+
+    /// A node's current socket address.
+    pub fn addr(&self, node: NodeId) -> SocketAddrV4 {
+        self.owner_core(node).addr(node)
+    }
+
+    /// Whether `a` holds its half of a connection to `b` (symmetric at
+    /// quiesce points).
+    pub fn connected(&self, a: NodeId, b: NodeId) -> bool {
+        self.owner_core(a).connected(a, b)
+    }
+
+    /// Number of open connections.
+    pub fn connection_count(&self, node: NodeId) -> usize {
+        self.owner_core(node).connection_count(node)
     }
 
     /// Immutable actor accessor (e.g. to read a monitor's log after a run).
@@ -2232,17 +2152,6 @@ impl<A: Actor> Sim<A> {
                     }
                 }
             }
-            if self.lookahead_mode == LookaheadMode::GlobalMin && min < NO_LINK {
-                // Collapsed baseline: every pair (including the diagonal,
-                // so a shard's own head participates in its horizon)
-                // advances by `T_min + min` — exactly the pre-matrix
-                // executor. Direct floors collapse too: every actual link
-                // is at least the global minimum, so the per-push assert
-                // stays valid, merely weaker.
-                matrix = vec![min; n * n];
-                closure = matrix.clone();
-                max_finite = min;
-            }
             self.lookahead_cache = Some(LookaheadInfo {
                 min,
                 max_finite,
@@ -2251,17 +2160,6 @@ impl<A: Actor> Sim<A> {
             });
         }
         self.lookahead_cache.as_ref().expect("just populated")
-    }
-
-    /// Select how epoch horizons are derived (per-pair matrix vs the
-    /// collapsed global-minimum baseline). Deterministic A/B switch for
-    /// benches and regression tests; results are byte-identical either
-    /// way, only epoch counts and wall-clock change.
-    pub fn set_lookahead_mode(&mut self, mode: LookaheadMode) {
-        if self.lookahead_mode != mode {
-            self.lookahead_mode = mode;
-            self.lookahead_cache = None;
-        }
     }
 
     /// Conservative global lookahead: the minimum possible latency of a link
@@ -2311,10 +2209,8 @@ impl<A: Actor> Sim<A> {
             // Failed dials report at `started + dial_timeout`, pushed from
             // the far end after up to two link latencies — conservative
             // sync needs that report to still clear the *widest* channel
-            // lookahead in the pushing shard's future. A debug_assert in
-            // `route` guards each push; this guards the configuration itself
-            // so release builds cannot silently break the shard-invariance
-            // contract.
+            // lookahead in the pushing shard's future. An assert in `route`
+            // guards each push; this one rejects the configuration up front.
             let core0 = &self.shards[0].core;
             let max_base = core0.lat_base.iter().copied().max().unwrap_or(Dur::ZERO);
             let max_lat = Dur((max_base.0 as f64 * (1.0 + core0.lat_jitter)).ceil() as u64);
@@ -2473,8 +2369,8 @@ mod tests {
         assert_eq!(s.actor(a).inbound, vec![b]);
         // b sent 1 on dial success; a does not echo, b echoes — a.got = [(b,1)]
         assert_eq!(s.actor(a).got, vec![(b, 1)]);
-        assert!(s.core().connected(a, b) && s.core().connected(b, a));
-        assert_eq!(s.core().stats.dials_ok, 1);
+        assert!(s.connected(a, b) && s.connected(b, a));
+        assert_eq!(s.stats().dials_ok, 1);
     }
 
     #[test]
@@ -2486,7 +2382,7 @@ mod tests {
         s.run_for(Dur::from_secs(30));
         assert_eq!(s.actor(b).dial_ok, vec![(NodeId(0), false, false)]);
         // Failure is reported only after the dial timeout.
-        assert_eq!(s.core().stats.dials_failed, 1);
+        assert_eq!(s.stats().dials_failed, 1);
     }
 
     #[test]
@@ -2513,12 +2409,12 @@ mod tests {
         with_ctx(&mut s, dialer, |ctx| ctx.dial_via(relay, target));
         s.run_for(Dur::from_secs(5));
         assert_eq!(s.actor(dialer).dial_ok, vec![(target, true, true)]);
-        assert!(s.core().connected(dialer, target));
+        assert!(s.connected(dialer, target));
         // DCUtR: the punched connection is direct — dropping the relay must
         // not kill it.
-        s.schedule_down(s.core().now(), relay);
+        s.schedule_down(s.now(), relay);
         s.run_for(Dur::from_secs(1));
-        assert!(s.core().connected(dialer, target));
+        assert!(s.connected(dialer, target));
     }
 
     #[test]
@@ -2549,17 +2445,17 @@ mod tests {
         );
         s.schedule_command(SimTime::ZERO + Dur::from_secs(1), b, "dial0");
         s.run_for(Dur::from_secs(2));
-        assert!(s.core().connected(a, b));
+        assert!(s.connected(a, b));
         s.schedule_down(SimTime::ZERO + Dur::from_secs(3), a);
         s.run_for(Dur::from_secs(3));
-        assert!(!s.core().connected(a, b));
+        assert!(!s.connected(a, b));
         // The FIN takes one link latency; by now it has landed.
-        assert!(!s.core().connected(b, a));
+        assert!(!s.connected(b, a));
         assert_eq!(s.actor(b).closed, vec![a]);
         assert_eq!(s.actor(a).stopped, 1);
         // Messages to the downed node are dropped.
-        let dropped_before = s.core().stats.msgs_dropped;
-        s.schedule_command(s.core().now(), b, "dial0"); // re-dial fails (offline)
+        let dropped_before = s.stats().msgs_dropped;
+        s.schedule_command(s.now(), b, "dial0"); // re-dial fails (offline)
         s.run_for(Dur::from_secs(30));
         assert!(!s.actor(b).dial_ok.last().unwrap().1);
         let _ = dropped_before;
@@ -2582,8 +2478,8 @@ mod tests {
         s.run_for(Dur::from_secs(10));
         // All three commands ran (three dial attempts from b to a, the
         // later two while already connected), but the wheel saw one event.
-        assert_eq!(s.core().stats.commands, 3);
-        assert_eq!(s.core().stats.kinds.command_batch, 1);
+        assert_eq!(s.stats().commands, 3);
+        assert_eq!(s.stats().kinds.command_batch, 1);
         assert_eq!(s.actor(b).dial_ok.len(), 3);
     }
 
@@ -2596,8 +2492,8 @@ mod tests {
             ctx.schedule_batch(a, Dur::from_secs(1), vec!["dial0", "dial0"]);
         });
         s.run_for(Dur::from_secs(2));
-        assert_eq!(s.core().stats.commands, 0);
-        assert_eq!(s.core().stats.commands_dropped, 2);
+        assert_eq!(s.stats().commands, 0);
+        assert_eq!(s.stats().commands_dropped, 2);
     }
 
     #[test]
@@ -2608,7 +2504,7 @@ mod tests {
         let new_addr = SocketAddrV4::new(ip(99), 4001);
         s.schedule_up(SimTime::ZERO + Dur::from_secs(2), a, Some(new_addr));
         s.run_for(Dur::from_secs(3));
-        assert_eq!(s.core().addr(a), new_addr);
+        assert_eq!(s.addr(a), new_addr);
         assert_eq!(s.actor(a).started, 2);
         assert_eq!(s.actor(a).stopped, 1);
     }
@@ -2633,8 +2529,8 @@ mod tests {
         let a = s.add_node(Echo::default(), NodeSetup::public(ip(1)).offline());
         s.schedule_command(SimTime::ZERO + Dur::from_secs(1), a, "dial0");
         s.run_for(Dur::from_secs(2));
-        assert_eq!(s.core().stats.commands_dropped, 1);
-        assert_eq!(s.core().stats.commands, 0);
+        assert_eq!(s.stats().commands_dropped, 1);
+        assert_eq!(s.stats().commands, 0);
     }
 
     #[test]
@@ -2654,7 +2550,7 @@ mod tests {
         assert!(with_ctx(&mut s, a, |ctx| ctx.send(b, 42)));
         s.run_for(Dur::from_secs(1));
         assert!(s.actor(b).got.is_empty());
-        assert_eq!(s.core().stats.msgs_lost, 1);
+        assert_eq!(s.stats().msgs_lost, 1);
     }
 
     #[test]
@@ -2694,8 +2590,8 @@ mod tests {
             s.run_for(Dur::from_secs(60));
             let l = last.unwrap();
             (
-                s.core().stats.events,
-                s.core().stats.msgs_delivered,
+                s.stats().events,
+                s.stats().msgs_delivered,
                 s.actor(l).got.clone(),
             )
         };
@@ -2708,7 +2604,7 @@ mod tests {
     fn run_until_advances_clock_even_when_idle() {
         let mut s = sim();
         s.run_until(SimTime::ZERO + Dur::from_secs(100));
-        assert_eq!(s.core().now().as_secs(), 100);
+        assert_eq!(s.now().as_secs(), 100);
     }
 
     #[test]
@@ -2718,19 +2614,19 @@ mod tests {
         let b = s.add_node(Echo::default(), NodeSetup::public(ip(2)));
         s.schedule_command(SimTime::ZERO + Dur::from_secs(1), b, "dial0");
         s.run_for(Dur::from_secs(2));
-        assert!(s.core().connected(a, b));
-        s.schedule_fault(s.core().now(), Fault::Kill { node: a });
+        assert!(s.connected(a, b));
+        s.schedule_fault(s.now(), Fault::Kill { node: a });
         s.run_for(Dur::from_secs(5));
         // No FIN: b never hears the connection close, and a's actor never
         // ran on_stop.
         assert!(s.actor(b).closed.is_empty(), "kill must not notify peers");
         assert_eq!(s.actor(a).stopped, 0, "kill must skip on_stop");
-        assert!(!s.core().is_online(a));
-        assert!(!s.core().connected(a, b) && !s.core().connected(b, a));
+        assert!(!s.is_online(a));
+        assert!(!s.connected(a, b) && !s.connected(b, a));
         // A non-retired killed node can still be revived.
-        s.schedule_up(s.core().now(), a, None);
+        s.schedule_up(s.now(), a, None);
         s.run_for(Dur::from_secs(1));
-        assert!(s.core().is_online(a));
+        assert!(s.is_online(a));
         assert_eq!(s.actor(a).started, 2);
     }
 
@@ -2743,8 +2639,8 @@ mod tests {
         // A churn re-join queued for later must be swallowed.
         s.schedule_up(SimTime::ZERO + Dur::from_secs(10), a, None);
         s.run_for(Dur::from_secs(20));
-        assert!(!s.core().is_online(a));
-        assert!(s.core().is_retired(a));
+        assert!(!s.is_online(a));
+        assert!(s.is_retired(a));
         assert_eq!(s.actor(a).started, 1, "retired node must not restart");
     }
 
@@ -2762,18 +2658,18 @@ mod tests {
         s.schedule_fault(t, Fault::Partition { active: true });
         s.run_for(Dur::from_secs(2));
         // a–b crossed the boundary and was severed with notifications …
-        assert!(!s.core().connected(a, b));
+        assert!(!s.connected(a, b));
         assert_eq!(s.actor(a).closed, vec![b]);
         assert_eq!(s.actor(b).closed, vec![a]);
         // … while same-class a–c survived.
-        assert!(s.core().connected(a, c));
+        assert!(s.connected(a, c));
         // Cross-class dials fail (after the dial timeout), same-class work.
-        s.schedule_command(s.core().now(), b, "dial0");
+        s.schedule_command(s.now(), b, "dial0");
         s.run_for(Dur::from_secs(30));
         assert_eq!(s.actor(b).dial_ok.last(), Some(&(a, false, false)));
         // Heal: dialing works again.
-        s.schedule_fault(s.core().now(), Fault::Partition { active: false });
-        s.schedule_command(s.core().now() + Dur::from_secs(1), b, "dial0");
+        s.schedule_fault(s.now(), Fault::Partition { active: false });
+        s.schedule_command(s.now() + Dur::from_secs(1), b, "dial0");
         s.run_for(Dur::from_secs(30));
         assert_eq!(s.actor(b).dial_ok.last(), Some(&(a, true, false)));
     }
@@ -2795,13 +2691,13 @@ mod tests {
         s.schedule_fault(t(3), Fault::SetNetClass { node: b, class: 0 });
         s.schedule_command(t(4), b, "dial0");
         s.run_for(Dur::from_secs(10));
-        assert!(s.core().partition_active(), "second split still enforced");
+        assert!(s.partition_active(), "second split still enforced");
         assert_eq!(
             s.actor(b).dial_ok.last(),
             Some(&(a, true, false)),
             "healed island dials again"
         );
-        s.schedule_command(s.core().now(), c, "dial0");
+        s.schedule_command(s.now(), c, "dial0");
         s.run_for(Dur::from_secs(30));
         assert_eq!(
             s.actor(c).dial_ok.last(),
@@ -2820,8 +2716,8 @@ mod tests {
         with_ctx(&mut s, a, |ctx| ctx.disconnect(b));
         s.run_for(Dur::from_secs(1));
         assert_eq!(s.actor(b).closed, vec![a]);
-        assert!(!s.core().connected(a, b));
-        assert!(!s.core().connected(b, a));
+        assert!(!s.connected(a, b));
+        assert!(!s.connected(b, a));
     }
 
     #[test]
@@ -2838,9 +2734,9 @@ mod tests {
         // dial, immediately followed by the FIN — no stale half remains.
         assert_eq!(s.actor(b).dial_ok, vec![(a, true, false)]);
         assert_eq!(s.actor(b).closed, vec![a]);
-        assert!(!s.core().connected(b, a));
+        assert!(!s.connected(b, a));
         // a never opened its half (it was down at handshake completion).
-        assert!(!s.core().connected(a, b));
+        assert!(!s.connected(a, b));
         assert!(s.actor(a).inbound.is_empty());
     }
 
@@ -2851,8 +2747,8 @@ mod tests {
         let b = s.add_node(Echo::default(), NodeSetup::public(ip(2)));
         s.schedule_command(SimTime::ZERO + Dur::from_secs(1), b, "dial0");
         s.run_for(Dur::from_secs(5));
-        let a_addr = s.core().addr(a);
-        let b_addr = s.core().addr(b);
+        let a_addr = s.addr(a);
+        let b_addr = s.addr(b);
         assert_eq!(with_ctx(&mut s, b, |ctx| ctx.addr_of(a)), Some(a_addr));
         assert_eq!(with_ctx(&mut s, a, |ctx| ctx.addr_of(b)), Some(b_addr));
     }

@@ -153,10 +153,7 @@ pub(crate) fn run_epochs<A: Actor>(
                     // earliest the woken shard's reaction can arrive back,
                     // so the bound stays conservative while a shard that
                     // pushes nothing drains its whole backlog in one epoch.
-                    // The diagonal is `NO_LINK` in per-pair mode (a shard
-                    // never bounds itself) and the global minimum in the
-                    // collapsed baseline (every shard advances by exactly
-                    // `T_min + min L`, the pre-matrix horizon).
+                    // The diagonal is `NO_LINK`: a shard never bounds itself.
                     let h0 = (0..n)
                         .map(|j| {
                             next_at[j]
@@ -184,7 +181,7 @@ pub(crate) fn run_epochs<A: Actor>(
                         }
                         mb_events += shard.core.outbox[dst].len() as u64;
                         let mut cell = mailboxes[i * n + dst].lock().expect("mailbox poisoned");
-                        debug_assert!(cell.is_empty(), "mailbox cell not drained");
+                        assert!(cell.is_empty(), "mailbox cell not drained");
                         // The buffer coming back is the one `dst` drained
                         // (and emptied, capacity intact) last epoch.
                         std::mem::swap(&mut *cell, &mut shard.core.outbox[dst]);
@@ -209,7 +206,7 @@ pub(crate) fn run_epochs<A: Actor>(
                         }
                         let mut cell = mailboxes[src * n + i].lock().expect("mailbox poisoned");
                         for e in cell.drain(..) {
-                            debug_assert!(
+                            assert!(
                                 e.at.0 >= h,
                                 "mailbox event below the epoch horizon \
                                  (at {:?}, horizon {h})",

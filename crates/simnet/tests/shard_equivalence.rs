@@ -270,9 +270,8 @@ fn replica_bytes_stay_o_nodes() {
     }
 }
 
-/// Like [`run`], but with an explicit node→shard assignment (the engine
-/// API the balanced partitioner drives) instead of the region-major
-/// default. `shard_of[i]` places node `i`.
+/// Like [`run`], but with an explicit node→shard assignment instead of
+/// the [`simnet::shard_for`] default. `shard_of[i]` places node `i`.
 fn run_placed(shards: usize, seed: u64, shard_of: &[u16]) -> Fingerprint {
     let mut s: Sim<Chatter> = Sim::new_sharded(
         SimConfig {
@@ -341,9 +340,7 @@ proptest! {
         prop_assert_eq!(&one, &run(4, seed, faults, nat_stride));
     }
 
-    /// Placement invariance: an *arbitrary* node→shard assignment — the
-    /// general case of which the balanced partitioner is one instance —
-    /// replays the 1-shard history byte-for-byte, including assignments
+    /// Placement invariance: an *arbitrary* node→shard assignment replays the 1-shard history byte-for-byte, including assignments
     /// that split every region across many shards (the per-pair lookahead
     /// matrix then carries intra-region floors on the split pairs).
     #[test]

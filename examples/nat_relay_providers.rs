@@ -26,8 +26,7 @@ fn main() {
     // Pick NAT-ed clients that are online right now and make them publish.
     let mut publishers = Vec::new();
     for (i, spec) in campaign.scenario.nodes.iter().enumerate() {
-        if spec.segment == Segment::NatClient && campaign.sim.core().is_online(campaign.node_ids[i])
-        {
+        if spec.segment == Segment::NatClient && campaign.sim.is_online(campaign.node_ids[i]) {
             publishers.push(i);
         }
         if publishers.len() == 12 {

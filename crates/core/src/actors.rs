@@ -6,7 +6,7 @@ use ipfs_node::{IpfsNode, NodeCmd, WireMsg};
 use ipfs_types::Cid;
 use netgen::{RateStream, WorkloadSpec, ZipfSampler, N_REGIONS};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-use simnet::{Actor, Ctx, Dur, NodeId, SimTime};
+use simnet::{Actor, Ctx, Dur, NodeId};
 use std::collections::{BTreeMap, HashMap};
 
 /// Commands addressed to any ecosystem actor.
@@ -216,8 +216,10 @@ impl ReplayDriver {
 pub struct WebUser {
     next_req: u64,
     queued: HashMap<NodeId, Vec<(u64, Cid)>>,
-    /// Outcomes: `(ts, found)`.
-    pub outcomes: Vec<(SimTime, bool)>,
+    /// HTTP responses that found their CID.
+    pub found: u64,
+    /// HTTP responses that did not, plus requests whose frontend dial failed.
+    pub not_found: u64,
     /// Live replay state (`None` in static-trace campaigns). Boxed so the
     /// idle-population variant of [`EcoActor`] stays small — the driver
     /// carries the spec, sampler table, and per-region RNG streams.
@@ -345,7 +347,7 @@ impl WebUser {
             if ok {
                 ctx.send(target, WireMsg::HttpRequest { req_id, cid });
             } else {
-                self.outcomes.push((ctx.now(), false));
+                self.not_found += 1;
             }
         }
     }
@@ -443,7 +445,11 @@ impl Actor for EcoActor {
             EcoActor::Frontend(f) => f.on_message(ctx, from, msg),
             EcoActor::WebUser(w) => {
                 if let WireMsg::HttpResponse { found, .. } = msg {
-                    w.outcomes.push((ctx.now(), found));
+                    if found {
+                        w.found += 1;
+                    } else {
+                        w.not_found += 1;
+                    }
                 }
             }
         }

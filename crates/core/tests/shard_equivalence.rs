@@ -50,28 +50,40 @@ fn tiny_campaign_matches_across_shard_counts() {
 /// node columns exactly, so every shard's replica cost is the tight
 /// 8 bytes × nodes bound, and the per-shard owned-node counts partition
 /// the population.
+fn replica_bytes_stay_o_nodes(cfg: ScenarioConfig, hours: u64, shards: usize) {
+    let scenario = netgen::build(cfg.with_shards(shards));
+    let mut campaign = Campaign::new(scenario, CampaignOptions::default());
+    campaign.run_for(Dur::from_hours(hours));
+    let loads = campaign.sim.shard_loads();
+    assert_eq!(loads.len(), shards);
+    let nodes = loads[0].state.nodes;
+    assert!(nodes > 0);
+    let owned: u64 = loads.iter().map(|l| l.state.owned_nodes).sum();
+    assert_eq!(owned, nodes, "every node owned by exactly one shard");
+    for l in &loads {
+        assert!(
+            l.state.replica_bytes <= 8 * nodes,
+            "shard {} replica {}B exceeds 8B × {nodes} nodes",
+            l.shard,
+            l.state.replica_bytes
+        );
+        assert_eq!(l.state.shared_bytes, 0, "no fork alive");
+    }
+}
+
 #[test]
 fn tiny_campaign_replica_bytes_stay_o_nodes() {
     for shards in [1usize, 4] {
-        let scenario = netgen::build(ScenarioConfig::tiny(42).with_shards(shards));
-        let mut campaign = Campaign::new(scenario, CampaignOptions::default());
-        campaign.run_for(Dur::from_hours(2));
-        let loads = campaign.sim.shard_loads();
-        assert_eq!(loads.len(), shards);
-        let nodes = loads[0].state.nodes;
-        assert!(nodes > 0);
-        let owned: u64 = loads.iter().map(|l| l.state.owned_nodes).sum();
-        assert_eq!(owned, nodes, "every node owned by exactly one shard");
-        for l in &loads {
-            assert!(
-                l.state.replica_bytes <= 8 * nodes,
-                "shard {} replica {}B exceeds 8B × {nodes} nodes",
-                l.shard,
-                l.state.replica_bytes
-            );
-            assert_eq!(l.state.shared_bytes, 0, "no fork alive");
-        }
+        replica_bytes_stay_o_nodes(ScenarioConfig::tiny(42), 2, shards);
     }
+}
+
+/// The ~1M-node internet preset for one virtual hour. It needs well over
+/// 6 GB of memory, so it runs only with `--ignored` (nightly CI).
+#[test]
+#[ignore]
+fn internet_hour_replica_bytes_stay_o_nodes() {
+    replica_bytes_stay_o_nodes(ScenarioConfig::internet(7), 1, 4);
 }
 
 proptest! {

@@ -393,8 +393,8 @@ impl OwnedColumns {
 }
 
 /// Measured engine state split for one shard — the observable form of the
-/// O(nodes) replica claim (surfaced in the `repro engine` budget section
-/// and BENCH_engine.json).
+/// O(nodes) replica claim (surfaced in the `repro engine` and `repro budget`
+/// sections, and asserted by `core/tests/shard_equivalence.rs`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StateBytes {
     /// Registered nodes (same on every shard).
@@ -744,7 +744,7 @@ impl<M, C> SimCore<M, C> {
         let l = self.local(origin);
         let oseq = {
             let h = &mut self.o().hot[l];
-            debug_assert!(h.oseq < u32::MAX, "per-origin sequence overflow");
+            assert!(h.oseq < u32::MAX, "per-origin sequence overflow");
             let q = h.oseq;
             h.oseq += 1;
             q
@@ -1784,7 +1784,7 @@ impl<A: Actor> Sim<A> {
     }
 
     fn next_harness_key(&mut self) -> u64 {
-        debug_assert!(self.harness_seq < u32::MAX, "harness sequence overflow");
+        assert!(self.harness_seq < u32::MAX, "harness sequence overflow");
         let k = ev_key(HARNESS_ORIGIN, self.harness_seq);
         self.harness_seq += 1;
         k

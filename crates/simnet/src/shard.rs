@@ -75,9 +75,9 @@ pub(crate) fn run_epochs<A: Actor>(
     t: SimTime,
 ) {
     let n = shards.len();
-    debug_assert!(n > 1, "single-shard runs use the sequential path");
-    debug_assert_eq!(direct.len(), n * n, "lookahead matrix must be n×n");
-    debug_assert_eq!(closure.len(), n * n, "lookahead closure must be n×n");
+    assert!(n > 1, "single-shard runs use the sequential path");
+    assert_eq!(direct.len(), n * n, "lookahead matrix must be n×n");
+    assert_eq!(closure.len(), n * n, "lookahead closure must be n×n");
     let mailboxes: Vec<MailboxCell<A::Msg, A::Cmd>> =
         (0..n * n).map(|_| Mutex::new(Vec::new())).collect();
     let barrier = Barrier::new(n);

@@ -43,9 +43,9 @@ pub struct FetchSession {
     pub cid: Cid,
     /// When the fetch started.
     pub started: SimTime,
-    /// Peers we probed with `WantHave`.
+    /// Peers we probed with `WantHave` (emptied once the block arrives).
     pub asked: HashSet<PeerId>,
-    /// Peers that answered `Have`.
+    /// Peers that answered `Have` (emptied once the block arrives).
     pub haves: Vec<PeerId>,
     /// Peers that answered `DontHave`.
     pub dont_haves: usize,
@@ -384,14 +384,18 @@ impl Bitswap {
             // Complete our own fetch, cancelling elsewhere.
             if let Some(s) = self.sessions.get_mut(&b.cid) {
                 if !s.done {
+                    // The finished session stays as the done marker (a late
+                    // provider dial must not re-request the block) but
+                    // releases its probe sets.
                     s.done = true;
+                    s.haves = Vec::new();
                     telemetry::count(telemetry::Counter::BitswapFetchesResolved, 1);
                     telemetry::observe(
                         telemetry::Metric::WantResolutionNs,
                         now.0.saturating_sub(s.started.0),
                     );
                     out.received.push((b.cid, from));
-                    let mut asked: Vec<PeerId> = s.asked.iter().copied().collect();
+                    let mut asked: Vec<PeerId> = std::mem::take(&mut s.asked).into_iter().collect();
                     asked.sort();
                     for p in asked {
                         if p != from {
@@ -482,11 +486,6 @@ impl Bitswap {
             }
         }
         out
-    }
-
-    /// Drop a finished or abandoned session, returning it.
-    pub fn take_session(&mut self, cid: &Cid) -> Option<FetchSession> {
-        self.sessions.remove(cid)
     }
 }
 
@@ -640,6 +639,14 @@ mod tests {
             *p == peer(3)
                 && matches!(m, BitswapMessage::Wantlist { entries, .. } if entries[0].cancel)
         }));
+        // The finished session released its probe sets but still marks the
+        // fetch done: a late provider dial sends no second `WantBlock`.
+        let s = a.session(&c).expect("done marker kept");
+        assert!(s.done && s.asked.capacity() == 0 && s.haves.capacity() == 0);
+        assert!(a
+            .request_block_from(c, peer(4), SimTime::ZERO)
+            .sends
+            .is_empty());
     }
 
     #[test]

@@ -78,8 +78,9 @@ fn tiny_campaign_replica_bytes_stay_o_nodes() {
     }
 }
 
-/// The ~1M-node internet preset for one virtual hour. It needs well over
-/// 6 GB of memory, so it runs only with `--ignored` (nightly CI).
+/// The ~1M-node internet preset for one virtual hour. It peaks at about
+/// 7 GB of memory (62 s on a 2-CPU host), so it runs only with
+/// `--ignored` (nightly CI).
 #[test]
 #[ignore]
 fn internet_hour_replica_bytes_stay_o_nodes() {

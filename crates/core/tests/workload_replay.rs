@@ -36,6 +36,7 @@ fn replay_fingerprint(seed: u64, shards: usize, with_flash: bool) -> (u64, u64, 
         },
     );
     c.run_for(Dur::from_hours(13));
+    assert_queue_memory_bounded(&c, shards);
     let (http, fetch) = c
         .sim
         .actor(c.webuser)
@@ -45,6 +46,27 @@ fn replay_fingerprint(seed: u64, shards: usize, with_flash: bool) -> (u64, u64, 
         .expect("campaign runs in replay mode")
         .issued;
     (c.sim.trace_digest(), c.sim.stats().events, http, fetch)
+}
+
+/// The event queues hold memory for live events only: their heap bytes
+/// stay within `K` entries per event of the peak queue length, plus each
+/// shard's fixed bucket headers (`peak_queue_len` is the largest shard's
+/// peak, so both terms scale with the shard count). Every key and payload
+/// slot sits in a buffer grown by doubling; these replays end at 0.9–1.7
+/// entries per peak event, and `K = 4` leaves room for one slack-heavy
+/// buffer. A wheel whose drained buckets keep their capacity ends the
+/// 1-shard replay about 12 times above this bound.
+fn assert_queue_memory_bounded(c: &Campaign, shards: usize) {
+    const K: usize = 4;
+    let peak = c.sim.stats().peak_queue_len as usize;
+    let bound = shards
+        * (K * peak * simnet::Sim::<tcsb_core::EcoActor>::QUEUE_ENTRY_BYTES
+            + simnet::wheel::BUCKET_HEADER_BYTES);
+    let bytes = c.sim.queue_bytes();
+    assert!(
+        bytes <= bound,
+        "{shards}-shard queues hold {bytes} heap bytes for a peak of {peak} events (bound {bound})"
+    );
 }
 
 #[test]

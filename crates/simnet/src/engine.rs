@@ -1721,6 +1721,9 @@ where
 }
 
 impl<A: Actor> Sim<A> {
+    /// Heap bytes one queued event occupies ([`TimerWheel::ENTRY_BYTES`]).
+    pub const QUEUE_ENTRY_BYTES: usize = TimerWheel::<Ev<A::Msg, A::Cmd>>::ENTRY_BYTES;
+
     /// Create a single-shard engine with the given config, latency model
     /// and RNG seed — the plain sequential scheduler.
     pub fn new(cfg: SimConfig, latency: LatencyModel, seed: u64) -> Sim<A> {
@@ -1896,6 +1899,15 @@ impl<A: Actor> Sim<A> {
             agg.add(&sh.core.state_bytes());
         }
         agg
+    }
+
+    /// Heap bytes of the event queues, summed over shards
+    /// ([`TimerWheel::heap_bytes`]; kept out of [`StateBytes`]).
+    pub fn queue_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|sh| sh.core.queue.heap_bytes())
+            .sum()
     }
 
     /// Aggregated counters across every shard.

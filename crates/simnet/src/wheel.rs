@@ -17,20 +17,30 @@
 //!   pay two heap ops total and are pulled into the wheels in batches as
 //!   the coarse cursor advances.
 //!
+//! Storage: each event's payload (~180 bytes for the ecosystem's
+//! `Ev<WireMsg, _>`) is stored exactly once, in a slab of `Option<T>` slots
+//! recycled through a LIFO free list. The buckets, the staging buffer and
+//! the far heap hold only 24-byte `{at, seq, slot}` keys, so sorting a slot
+//! and cascading a coarse bucket move keys, never payloads.
+//!
+//! Memory: a drained bucket keeps no capacity. The near bucket is moved
+//! into staging and a cascaded coarse bucket is consumed by value, so an
+//! idle slot costs only its 24-byte `Vec` header and the queue's heap
+//! ([`TimerWheel::heap_bytes`]) stays proportional to the live event
+//! count. Handing an emptied buffer back to its slot would let each of the
+//! 8 192 slots grow toward the largest bucket any slot ever held.
+//!
 //! Determinism contract (identical to the `BinaryHeap` scheduler this
 //! replaces): events pop in strictly ascending `(time, seq)` order, where
 //! `seq` is the caller-supplied insertion sequence number — FIFO within a
 //! tick, ties never depend on memory layout. Same-slot ordering is enforced
-//! by a small *staging* buffer holding only the slot currently being
-//! drained: the slot's bucket is swapped in wholesale (a pointer swap, no
-//! element copies — entries carry the full event payload, ~150 bytes for
-//! the ecosystem's `Ev<WireMsg, _>`), sorted in place descending, and
-//! popped from the tail. The old design pushed every entry through a
-//! `BinaryHeap`, paying one large memmove per event on the way in and
-//! sift-down shuffles on the way out.
+//! by the *staging* buffer holding only the slot currently being drained:
+//! the slot's keys are sorted in place descending and popped from the tail.
 
 use crate::time::SimTime;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::mem::size_of;
 
 const NEAR_BITS: u32 = 12;
 const NEAR_SLOTS: usize = 1 << NEAR_BITS;
@@ -45,30 +55,16 @@ const NEAR_MASK: u64 = (NEAR_SLOTS - 1) as u64;
 const COARSE_MASK: u64 = (COARSE_SLOTS - 1) as u64;
 const WORDS: usize = NEAR_SLOTS / 64;
 
-/// One queued event.
-#[derive(Clone, Debug)]
-struct Entry<T> {
+/// Fixed heap cost of a wheel: the near and coarse bucket-header arrays.
+pub const BUCKET_HEADER_BYTES: usize = (NEAR_SLOTS + COARSE_SLOTS) * size_of::<Vec<Key>>();
+
+/// One queued event's order key and the slab slot holding its payload.
+/// `(at, seq)` pairs are unique, so `slot` never decides an order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     at: u64,
     seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
+    slot: usize,
 }
 
 /// Fixed-size occupancy bitmap over 4096 slots.
@@ -112,29 +108,34 @@ impl Bitmap {
 ///
 /// Pops in ascending `(SimTime, seq)` order. Insertion accepts any time,
 /// including times at or before the last popped event — such events simply
-/// sort into the staging heap and pop next, exactly as they would from a
+/// sort into the staging buffer and pop next, exactly as they would from a
 /// global `BinaryHeap`.
 ///
-/// Cloning (for `T: Clone`) snapshots the full queue — every banded entry
-/// and the staging frontier — so a cloned wheel pops the identical event
-/// sequence (the engine-fork machinery relies on this).
+/// Cloning (for `T: Clone`) snapshots the full queue — the payload slab
+/// with its free list, every banded key and the staging frontier — so a
+/// cloned wheel pops the identical event sequence (the engine-fork
+/// machinery relies on this).
 #[derive(Clone)]
 pub struct TimerWheel<T> {
-    near: Vec<Vec<Entry<T>>>,
+    /// Payload of every queued event, indexed by [`Key::slot`]; `None`
+    /// marks a free slot.
+    slab: Vec<Option<T>>,
+    /// Free slab slots, reused last-freed first.
+    free: Vec<usize>,
+    near: Box<[Vec<Key>]>,
     near_bits: Bitmap,
-    coarse: Vec<Vec<Entry<T>>>,
+    coarse: Box<[Vec<Key>]>,
     coarse_bits: Bitmap,
-    far: BinaryHeap<Entry<T>>,
-    /// Events of the slot currently being drained (plus any "late"
-    /// inserts), sorted descending by `(at, seq)` so the next event pops
-    /// from the tail without moving the rest.
-    staging: Vec<Entry<T>>,
+    far: BinaryHeap<Reverse<Key>>,
+    /// Keys of the slot currently being drained (plus any "late" inserts),
+    /// sorted descending so the next event pops from the tail without
+    /// moving the rest.
+    staging: Vec<Key>,
     /// Absolute near slot of the staging frontier: staging holds every
     /// queued event whose near slot is `<= cur_near`.
     cur_near: u64,
     /// Absolute coarse slot the near wheel currently expands.
     cur_coarse: u64,
-    len: usize,
 }
 
 impl<T> Default for TimerWheel<T> {
@@ -144,9 +145,14 @@ impl<T> Default for TimerWheel<T> {
 }
 
 impl<T> TimerWheel<T> {
+    /// Heap bytes one queued event occupies: its key and its slab slot.
+    pub const ENTRY_BYTES: usize = size_of::<Key>() + size_of::<Option<T>>();
+
     /// An empty wheel anchored at time zero.
     pub fn new() -> TimerWheel<T> {
         TimerWheel {
+            slab: Vec::new(),
+            free: Vec::new(),
             near: (0..NEAR_SLOTS).map(|_| Vec::new()).collect(),
             near_bits: Bitmap::new(),
             coarse: (0..COARSE_SLOTS).map(|_| Vec::new()).collect(),
@@ -155,70 +161,96 @@ impl<T> TimerWheel<T> {
             staging: Vec::new(),
             cur_near: 0,
             cur_coarse: 0,
-            len: 0,
         }
     }
 
     /// Queued events.
     pub fn len(&self) -> usize {
-        self.len
+        self.slab.len() - self.free.len()
     }
 
     /// Whether no events are queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
+    }
+
+    /// Heap bytes the queue holds, counted from capacities (what the
+    /// allocator reserved, not what is live) so the figure is
+    /// deterministic: the bucket-header arrays, every key buffer, the
+    /// payload slab and its free list.
+    pub fn heap_bytes(&self) -> usize {
+        let keys = self
+            .near
+            .iter()
+            .chain(self.coarse.iter())
+            .map(Vec::capacity)
+            .sum::<usize>()
+            + self.staging.capacity()
+            + self.far.capacity();
+        BUCKET_HEADER_BYTES
+            + keys * size_of::<Key>()
+            + self.slab.capacity() * size_of::<Option<T>>()
+            + self.free.capacity() * size_of::<usize>()
     }
 
     /// Queue `item` at `at` with tie-break sequence `seq`. `(at, seq)` pairs
     /// must be unique (the engine's global sequence counter guarantees it).
     pub fn push(&mut self, at: SimTime, seq: u64, item: T) {
-        self.len += 1;
-        let e = Entry {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(item);
+                slot
+            }
+            None => {
+                self.slab.push(Some(item));
+                self.slab.len() - 1
+            }
+        };
+        let k = Key {
             at: at.0,
             seq,
-            item,
+            slot,
         };
-        let ns = e.at >> NEAR_SHIFT;
+        let ns = k.at >> NEAR_SHIFT;
         if ns <= self.cur_near {
-            self.stage_sorted(e);
+            self.stage_sorted(k);
             return;
         }
-        let cs = e.at >> COARSE_SHIFT;
+        let cs = k.at >> COARSE_SHIFT;
         if cs == self.cur_coarse {
             let idx = (ns & NEAR_MASK) as usize;
-            self.near[idx].push(e);
+            self.near[idx].push(k);
             self.near_bits.set(idx);
         } else if cs - self.cur_coarse < COARSE_SLOTS as u64 {
             let idx = (cs & COARSE_MASK) as usize;
-            self.coarse[idx].push(e);
+            self.coarse[idx].push(k);
             self.coarse_bits.set(idx);
         } else {
-            self.far.push(e);
+            self.far.push(Reverse(k));
         }
     }
 
-    /// Insert a "late" event (at or before the staging frontier) into the
+    /// Insert a "late" key (at or before the staging frontier) into the
     /// already-sorted staging buffer. Staging holds one slot's population,
     /// so the shift is short; the hot path (future slots) never comes here.
-    fn stage_sorted(&mut self, e: Entry<T>) {
-        let key = (e.at, e.seq);
-        let pos = self.staging.partition_point(|x| (x.at, x.seq) > key);
-        self.staging.insert(pos, e);
+    fn stage_sorted(&mut self, k: Key) {
+        let pos = self.staging.partition_point(|x| *x > k);
+        self.staging.insert(pos, k);
     }
 
-    /// Restore the descending `(at, seq)` staging order after a bulk
-    /// append (slot swap-in or coarse cascade).
+    /// Restore the descending staging order after a bulk append (slot
+    /// move-in or coarse cascade).
     fn sort_staging(&mut self) {
-        self.staging
-            .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+        self.staging.sort_unstable_by(|a, b| b.cmp(a));
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         self.refill_staging();
-        let e = self.staging.pop()?;
-        self.len -= 1;
-        Some((SimTime(e.at), e.seq, e.item))
+        let k = self.staging.pop()?;
+        let item = self.slab[k.slot].take().expect("queued key owns its slot");
+        self.free.push(k.slot);
+        Some((SimTime(k.at), k.seq, item))
     }
 
     /// Time of the earliest event without removing it.
@@ -227,40 +259,39 @@ impl<T> TimerWheel<T> {
     /// past empty slots; this never changes the pop order.
     pub fn peek_at(&mut self) -> Option<SimTime> {
         self.refill_staging();
-        self.staging.last().map(|e| SimTime(e.at))
+        self.staging.last().map(|k| SimTime(k.at))
     }
 
-    /// Route an event whose coarse slot is within `[cur_coarse,
-    /// cur_coarse + COARSE_SLOTS)` into staging / near / coarse. Staging
-    /// appends are raw; callers re-sort once after the bulk move.
-    fn route_within_window(&mut self, e: Entry<T>) {
-        let ns = e.at >> NEAR_SHIFT;
+    /// Route a key whose coarse slot is within `[cur_coarse, cur_coarse +
+    /// COARSE_SLOTS)` into staging / near / coarse. Staging appends are
+    /// raw; callers re-sort once after the bulk move.
+    fn route_within_window(&mut self, k: Key) {
+        let ns = k.at >> NEAR_SHIFT;
         if ns <= self.cur_near {
-            self.staging.push(e);
+            self.staging.push(k);
             return;
         }
-        let cs = e.at >> COARSE_SHIFT;
+        let cs = k.at >> COARSE_SHIFT;
         if cs == self.cur_coarse {
             let idx = (ns & NEAR_MASK) as usize;
-            self.near[idx].push(e);
+            self.near[idx].push(k);
             self.near_bits.set(idx);
         } else {
             debug_assert!(cs - self.cur_coarse < COARSE_SLOTS as u64);
             let idx = (cs & COARSE_MASK) as usize;
-            self.coarse[idx].push(e);
+            self.coarse[idx].push(k);
             self.coarse_bits.set(idx);
         }
     }
 
-    /// Move far-heap events whose coarse slot entered the wheel window.
+    /// Move far-heap keys whose coarse slot entered the wheel window.
     fn pull_far(&mut self) {
-        while let Some(top) = self.far.peek() {
-            let cs = top.at >> COARSE_SHIFT;
-            if cs >= self.cur_coarse + COARSE_SLOTS as u64 {
+        while let Some(Reverse(top)) = self.far.peek() {
+            if top.at >> COARSE_SHIFT >= self.cur_coarse + COARSE_SLOTS as u64 {
                 break;
             }
-            let e = self.far.pop().expect("peeked");
-            self.route_within_window(e);
+            let Reverse(k) = self.far.pop().expect("peeked");
+            self.route_within_window(k);
         }
     }
 
@@ -288,33 +319,31 @@ impl<T> TimerWheel<T> {
             if let Some(idx) = self.near_bits.next_set_from(from) {
                 self.cur_near = (self.cur_coarse << NEAR_BITS) | idx as u64;
                 self.near_bits.clear(idx);
-                // Swap the whole bucket in (no per-entry copies; the empty
-                // staging vec hands its capacity back to the slot) and sort
-                // it in place.
-                std::mem::swap(&mut self.staging, &mut self.near[idx]);
+                // Move the bucket in whole; the slot is left with no
+                // capacity and the emptied staging buffer is freed.
+                self.staging = std::mem::take(&mut self.near[idx]);
                 self.sort_staging();
                 continue;
             }
-            // 2. Current coarse span exhausted: cascade the next one.
+            // 2. Current coarse span exhausted: cascade the next one,
+            //    consuming its bucket.
             if let Some(cs) = self.next_coarse_slot() {
                 self.cur_coarse = cs;
                 self.cur_near = cs << NEAR_BITS;
                 let idx = (cs & COARSE_MASK) as usize;
                 self.coarse_bits.clear(idx);
-                let mut bucket = std::mem::take(&mut self.coarse[idx]);
-                for e in bucket.drain(..) {
-                    self.route_within_window(e);
+                for k in std::mem::take(&mut self.coarse[idx]) {
+                    self.route_within_window(k);
                 }
-                self.coarse[idx] = bucket;
                 self.pull_far();
                 self.sort_staging();
                 continue;
             }
             // 3. Both wheels empty: jump straight to the far horizon.
-            if self.far.is_empty() {
+            let Some(Reverse(top)) = self.far.peek() else {
                 return;
-            }
-            let cs = self.far.peek().expect("non-empty").at >> COARSE_SHIFT;
+            };
+            let cs = top.at >> COARSE_SHIFT;
             self.cur_coarse = cs;
             self.cur_near = cs << NEAR_BITS;
             self.pull_far();
@@ -398,6 +427,55 @@ mod tests {
             assert_eq!(at, 500);
             assert_eq!(seq, i as u64);
         }
+    }
+
+    #[test]
+    fn heap_bytes_track_live_entries_not_past_bursts() {
+        // A burst lands in every near slot of one coarse span, then in
+        // every coarse slot of one revolution, each drained before the
+        // next arrives: a few dozen events are ever live, yet all 8 192
+        // buckets see a burst. A wheel whose buckets keep their capacity
+        // after draining ends near 8 192 × BURST keys; this one must stay
+        // within a few entries per live event.
+        const BURST: u64 = 32;
+        const K: usize = 4;
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        let (mut seq, mut peak) = (0u64, 0usize);
+        fn check(w: &TimerWheel<u32>, peak: usize) {
+            let bound = K * peak * TimerWheel::<u32>::ENTRY_BYTES + BUCKET_HEADER_BYTES;
+            assert!(
+                w.heap_bytes() <= bound,
+                "{} heap bytes for a peak of {peak} live entries (bound {bound})",
+                w.heap_bytes()
+            );
+        }
+        let mut burst = |w: &mut TimerWheel<u32>, base: u64, spread: u64| {
+            for j in 0..BURST {
+                w.push(SimTime(base + j * spread), seq, seq as u32);
+                seq += 1;
+            }
+            peak = peak.max(w.len());
+            for _ in 0..BURST {
+                w.pop().expect("burst queued");
+            }
+            assert!(w.is_empty());
+            peak
+        };
+        for slot in 1..NEAR_SLOTS as u64 {
+            let peak = burst(&mut w, slot << NEAR_SHIFT, 1);
+            if slot % 64 == 0 {
+                check(&w, peak);
+            }
+        }
+        // Each coarse burst spreads over near slots of its span, so it also
+        // refills near buckets after the cascade.
+        for span in 1..=COARSE_SLOTS as u64 {
+            let peak = burst(&mut w, span << COARSE_SHIFT, 1 << NEAR_SHIFT);
+            if span % 64 == 0 {
+                check(&w, peak);
+            }
+        }
+        check(&w, peak);
     }
 
     #[test]

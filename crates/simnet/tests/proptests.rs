@@ -97,6 +97,69 @@ proptest! {
     }
 
     #[test]
+    fn clone_after_slot_reuse_pops_identically(
+        prefix in proptest::collection::vec(op_strategy(), 0..200),
+        suffix in proptest::collection::vec(op_strategy(), 0..200),
+    ) {
+        let mut wheel: TimerWheel<u32> = TimerWheel::new();
+        let mut reference = RefHeap::default();
+        let (mut now, mut seq) = (0u64, 0u64);
+        let mut step = |wheel: &mut TimerWheel<u32>, reference: &mut RefHeap, op: &Op| {
+            match op {
+                Op::Push { delay } => {
+                    let at = now.saturating_add(*delay);
+                    wheel.push(SimTime(at), seq, seq as u32);
+                    reference.push(at, seq, seq as u32);
+                    seq += 1;
+                }
+                Op::Pop => {
+                    if let Some((t, _, _)) = reference.pop() {
+                        now = t;
+                    }
+                    wheel.pop();
+                }
+            }
+        };
+        // The scripted prefix, then pushes and pops that free slab slots
+        // and hand them to new events before the snapshot.
+        let reuse = [Op::Push { delay: 0 }, Op::Push { delay: 1 << 30 }, Op::Pop, Op::Pop,
+            Op::Push { delay: 1 << 40 }, Op::Push { delay: 5 }];
+        for op in prefix.iter().chain(&reuse) {
+            step(&mut wheel, &mut reference, op);
+        }
+        let mut copy = wheel.clone();
+        // Both copies run the same suffix and then drain, popping the same
+        // (at, seq, item) sequence as the reference.
+        for op in &suffix {
+            if let Op::Push { delay } = op {
+                let at = now.saturating_add(*delay);
+                wheel.push(SimTime(at), seq, seq as u32);
+                copy.push(SimTime(at), seq, seq as u32);
+                reference.push(at, seq, seq as u32);
+                seq += 1;
+                continue;
+            }
+            let a = wheel.pop().map(|(t, s, i)| (t.0, s, i));
+            let b = copy.pop().map(|(t, s, i)| (t.0, s, i));
+            prop_assert_eq!(a, b, "clone diverged mid-script");
+            prop_assert_eq!(a, reference.pop());
+            if let Some((t, _, _)) = a {
+                now = t;
+            }
+        }
+        loop {
+            let a = wheel.pop().map(|(t, s, i)| (t.0, s, i));
+            let b = copy.pop().map(|(t, s, i)| (t.0, s, i));
+            prop_assert_eq!(a, b, "clone diverged in the drain");
+            prop_assert_eq!(a, reference.pop());
+            if a.is_none() {
+                break;
+            }
+        }
+        prop_assert!(copy.is_empty());
+    }
+
+    #[test]
     fn peek_never_changes_pop_order(delays in proptest::collection::vec(0u64..1u64 << 46, 1..120)) {
         let mut with_peek: TimerWheel<u32> = TimerWheel::new();
         let mut without: TimerWheel<u32> = TimerWheel::new();
